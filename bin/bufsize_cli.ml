@@ -85,7 +85,8 @@ let replications_arg =
 
 let max_states_arg =
   let doc = "Per-subsystem CTMDP state-space cap." in
-  Arg.(value & opt int 64 & info [ "max-states" ] ~docv:"N" ~doc)
+  let default = (B.Sizing.default_config ~budget:1).B.Sizing.max_states in
+  Arg.(value & opt int default & info [ "max-states" ] ~docv:"N" ~doc)
 
 let weights_arg =
   let doc =
@@ -209,7 +210,13 @@ let size_cmd =
         client_weight = weight_fn topo weights;
       }
     in
-    let r = B.Sizing.run config traffic in
+    let r =
+      match B.Sizing.run config traffic with
+      | r -> r
+      | exception B.Sizing.Unsolved health ->
+          Format.eprintf "error: no optimal allocation@.%a@." B.Resilience.pp_health health;
+          exit 1
+    in
     if json then begin
       print_endline (B.Json.encode (B.Serve.sizing_core_json traffic r));
       exit 0
@@ -225,17 +232,14 @@ let size_cmd =
       r.B.Sizing.solutions;
     if health then Format.printf "@.%a@." B.Resilience.pp_health r.B.Sizing.health;
     if health_json then begin
-      (* The health report plus the warm-start / solve-cache counters of
-         this process — the observability surface of the incremental
-         engine (cache.* and simplex_revised.warm_* in the metrics
-         registry mirror these). *)
-      let warm_acc, warm_rej = B.Numeric.Simplex_revised.warm_stats () in
+      (* The health report plus the solve-cache counters of this process
+         (cache.* in the metrics registry mirror these). *)
       let lp_hits, lp_misses = B.Numeric.Lp.cache_stats () in
       let sz_hits, sz_misses = B.Sizing.cache_stats () in
       Format.printf
-        "@.{\"health\":%s,\"solver_stats\":{\"lp_cache\":{\"hits\":%d,\"misses\":%d},\"sizing_cache\":{\"hits\":%d,\"misses\":%d},\"warm_start\":{\"accepted\":%d,\"rejected\":%d}}}@."
+        "@.{\"health\":%s,\"solver_stats\":{\"lp_cache\":{\"hits\":%d,\"misses\":%d},\"sizing_cache\":{\"hits\":%d,\"misses\":%d}}}@."
         (B.Resilience.health_to_json r.B.Sizing.health)
-        lp_hits lp_misses sz_hits sz_misses warm_acc warm_rej
+        lp_hits lp_misses sz_hits sz_misses
     end
   in
   let doc = "Run the CTMDP buffer sizing and print the allocation." in

@@ -10,14 +10,18 @@ exception Singular of int
    returns the permutation sign.  Both [factorize] and [refactorize] run
    exactly this loop, so a factorization rebuilt into reused storage is
    bitwise-identical to a fresh one. *)
+(* The row update indexes the flat row-major [data] array directly: it is
+   the O(n^3) inner loop of every simplex refactorization and must not
+   allocate per element. *)
 let eliminate ~pivot_tol lu perm =
   let n = lu.Mat.rows in
+  let data = lu.Mat.data in
   let sign = ref 1. in
   for k = 0 to n - 1 do
     (* partial pivoting: pick the largest |entry| in column k at/below row k *)
     let pivot_row = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !pivot_row k) then pivot_row := i
+      if Float.abs data.((i * n) + k) > Float.abs data.((!pivot_row * n) + k) then pivot_row := i
     done;
     if !pivot_row <> k then begin
       Mat.swap_rows lu k !pivot_row;
@@ -26,14 +30,17 @@ let eliminate ~pivot_tol lu perm =
       perm.(!pivot_row) <- tmp;
       sign := -. !sign
     end;
-    let pivot = Mat.get lu k k in
+    let kbase = k * n in
+    let pivot = data.(kbase + k) in
     if Float.abs pivot < pivot_tol then raise (Singular k);
     for i = k + 1 to n - 1 do
-      let factor = Mat.get lu i k /. pivot in
-      Mat.set lu i k factor;
+      let ibase = i * n in
+      let factor = data.(ibase + k) /. pivot in
+      data.(ibase + k) <- factor;
       if factor <> 0. then
         for j = k + 1 to n - 1 do
-          Mat.update lu i j (fun x -> x -. (factor *. Mat.get lu k j))
+          Array.unsafe_set data (ibase + j)
+            (Array.unsafe_get data (ibase + j) -. (factor *. Array.unsafe_get data (kbase + j)))
         done
     done
   done;
@@ -50,7 +57,7 @@ let factorize ?(pivot_tol = 1e-12) m =
 let dim f = f.lu.Mat.rows
 
 (* Re-run the elimination into [f]'s existing storage for a new same-sized
-   matrix: the warm-start path refactorizes hundreds of simplex bases per
+   matrix: the revised simplex refactorizes its basis hundreds of times per
    solve and reuses one allocation for all of them.  On a singular pivot
    the storage holds a partial elimination and [Error k] tells the caller
    to fall back; the factorization must not be used for solves until a

@@ -1,4 +1,5 @@
 module Obs = Bufsize_obs.Obs
+module Resilience = Bufsize_resilience.Resilience
 
 (* Pivot-level telemetry: one guarded atomic add per pivot (a pivot is
    already O(width) work) and per tableau refactorization.  Disabled:
@@ -18,11 +19,19 @@ type solution = {
   x : float array;
   objective : float;
   duals : float array;
-  basis : int array;
   iterations : int;
 }
 
 type result = Optimal of solution | Infeasible | Unbounded
+
+exception Budget_exhausted of int
+
+(* The wall-clock check of both engines' pivot loops: every 64 pivots and
+   before each refactorization.  An unlimited budget never reads the
+   clock. *)
+let check_budget budget ~iters ~refactoring =
+  if (refactoring || iters land 63 = 0) && Resilience.exhausted budget then
+    raise (Budget_exhausted iters)
 
 (* The tableau is stored row-major with width [width = ncols + nrows + 1]:
    columns 0..ncols-1 are the structural variables, ncols..ncols+nrows-1 the
@@ -102,83 +111,17 @@ let pivot tab row col =
   tab.basis.(row) <- col
 
 (* Entering column.  Bland mode scans for the first negative reduced cost
-   from column 0 (the anti-cycling rule needs that fixed order).  The
-   normal mode has two pricing strategies:
-
-   - [Dantzig] (default): full scan over all n + m reduced costs, enter on
-     the most negative.
-   - [Partial]: rotating-window partial pricing.  A refill scans columns
-     from a rotating cursor, wrapping, and collects up to
-     [max_candidates] columns with negative reduced cost, stopping early
-     once the window is full; the iterations in between price only that
-     list (re-reading each candidate's CURRENT reduced cost from the
-     tableau) and enter on the most negative among them.  When the list
-     yields nothing, the refill resumes at the cursor — and only a refill
-     that wraps the entire column range without finding a negative
-     reduced cost declares optimality, so termination rests on a full
-     scan exactly as with Dantzig.
-
-   Partial pricing is the textbook remedy when pricing dominates, but
-   measurement on this repo's occupation-measure LPs shows the opposite
-   regime: once [pivot] exploits row sparsity, the full scan is cheap,
-   and lower-quality entering picks inflate the pivot count — and the
-   pivots are the expensive step.  A keep-the-K-most-negative variant
-   already doubled the pivots (1870 -> 3614 across the Table 1 sizing
-   workload, ~2x wall clock); the rotating first-found window is several
-   times slower again, even on the widest joint LP we build (2176
-   columns).  Dantzig is therefore the default at every width; set
-   BUFSIZE_SIMPLEX_PRICING=partial to force the rotating window (for
-   problem classes wide enough that scanning dominates again), or
-   =dantzig to pin the default explicitly. *)
-type pricing_mode = Dantzig | Partial
-
-let pricing_mode_of_env () =
-  match Sys.getenv_opt "BUFSIZE_SIMPLEX_PRICING" with
-  | Some "partial" -> Partial
-  | Some "dantzig" | None -> Dantzig
-  | Some other ->
-      invalid_arg
-        (Printf.sprintf
-           "BUFSIZE_SIMPLEX_PRICING: expected \"dantzig\" or \"partial\", got %S" other)
-
-type pricing = {
-  mode : pricing_mode;
-  cand : int array;
-  mutable ncand : int;
-  mutable cursor : int;  (* column the next rotating refill starts from *)
-}
-
-let max_candidates = 24
-
-let new_pricing () =
-  { mode = pricing_mode_of_env (); cand = Array.make max_candidates 0; ncand = 0; cursor = 0 }
-
-(* Rotating refill: scan from the cursor, wrapping once around all n + m
-   columns, collecting allowed columns with reduced cost < -eps; stop as
-   soon as the window is full.  Leaves [pr.ncand = 0] only after a
-   complete wrap found nothing — a full-scan certificate of optimality. *)
-let refill_candidates tab ~eps ~allow pr =
+   from column 0 (the anti-cycling rule needs that fixed order); the normal
+   mode is Dantzig's full scan over all n + m reduced costs, entering on
+   the most negative.  Once [pivot] exploits row sparsity the full scan is
+   cheap next to the pivots, and partial pricing measured slower on these
+   LPs (DESIGN.md §3.1): worse entering picks cost more pivots than the
+   scan saves. *)
+let entering tab ~eps ~bland ~allow =
   let cost_row = tab.m in
   let total = tab.n + tab.m in
-  pr.ncand <- 0;
-  let scanned = ref 0 in
-  let j = ref (if pr.cursor < total then pr.cursor else 0) in
-  while !scanned < total && pr.ncand < max_candidates do
-    (if allow !j && tget tab cost_row !j < -.eps then begin
-       pr.cand.(pr.ncand) <- !j;
-       pr.ncand <- pr.ncand + 1
-     end);
-    incr scanned;
-    j := !j + 1;
-    if !j >= total then j := 0
-  done;
-  pr.cursor <- !j
-
-let entering tab ~eps ~bland ~allow ~pricing:pr =
-  let cost_row = tab.m in
-  let total = tab.n + tab.m in
+  let best = ref (-1) in
   if bland then begin
-    let best = ref (-1) in
     (try
        for j = 0 to total - 1 do
          if allow j && tget tab cost_row j < -.eps then begin
@@ -189,52 +132,19 @@ let entering tab ~eps ~bland ~allow ~pricing:pr =
      with Exit -> ());
     !best
   end
-  else
-    match pr.mode with
-    | Dantzig ->
-        let best = ref (-1) in
-        let best_val = ref (-.eps) in
-        for j = 0 to total - 1 do
-          if allow j then begin
-            let r = tget tab cost_row j in
-            if r < !best_val then begin
-              best := j;
-              best_val := r
-            end
-          end
-        done;
-        !best
-    | Partial ->
-        let pick () =
-          (* Most negative CURRENT reduced cost among the candidates;
-             stale entries (risen above -eps since the refill) are
-             skipped. *)
-          let best = ref (-1) and best_k = ref (-1) in
-          let best_val = ref (-.eps) in
-          for k = 0 to pr.ncand - 1 do
-            let r = tget tab cost_row pr.cand.(k) in
-            if r < !best_val then begin
-              best := pr.cand.(k);
-              best_val := r;
-              best_k := k
-            end
-          done;
-          (!best, !best_k)
-        in
-        let best, best_k =
-          match pick () with
-          | -1, _ ->
-              refill_candidates tab ~eps ~allow pr;
-              pick ()
-          | found -> found
-        in
-        if best >= 0 then begin
-          (* The chosen column becomes basic (reduced cost 0) — drop it. *)
-          pr.cand.(best_k) <- pr.cand.(pr.ncand - 1);
-          pr.ncand <- pr.ncand - 1;
-          best
+  else begin
+    let best_val = ref (-.eps) in
+    for j = 0 to total - 1 do
+      if allow j then begin
+        let r = tget tab cost_row j in
+        if r < !best_val then begin
+          best := j;
+          best_val := r
         end
-        else -1
+      end
+    done;
+    !best
+  end
 
 (* Ratio test: row minimizing b_i / a_ij over a_ij > eps; ties broken on the
    smallest basic-variable index (part of Bland's anti-cycling guarantee).
@@ -282,11 +192,11 @@ let leaving tab ~eps col =
 
 type phase_outcome = Phase_optimal | Phase_unbounded | Phase_iterations
 
-let run_phase tab ~eps ~max_iter ~bland_after ~refactor_every ~refactor ~allow iterations =
-  let pricing = new_pricing () in
+let run_phase tab ~eps ~max_iter ~bland_after ~refactor_every ~refactor ~allow ~budget iterations =
   let rec loop iters since_refactor =
     if iters >= max_iter then (Phase_iterations, iters)
     else begin
+      check_budget budget ~iters ~refactoring:(since_refactor >= refactor_every);
       let since_refactor =
         if since_refactor >= refactor_every then begin
           refactor ();
@@ -295,7 +205,7 @@ let run_phase tab ~eps ~max_iter ~bland_after ~refactor_every ~refactor ~allow i
         else since_refactor
       in
       let bland = iters >= bland_after in
-      let col = entering tab ~eps ~bland ~allow ~pricing in
+      let col = entering tab ~eps ~bland ~allow in
       if col < 0 then (Phase_optimal, iters)
       else begin
         let row = leaving tab ~eps col in
@@ -369,7 +279,7 @@ let tableau_solution std tab iterations =
         let y = -.tget tab tab.m (tab.n + i) in
         if std.b.(i) < 0. then -.y else y)
   in
-  { x; objective = !objective; duals; basis = Array.copy tab.basis; iterations }
+  { x; objective = !objective; duals; iterations }
 
 (* Recompute the basic solution and duals exactly from the original data
    given the final basis: solve B x_B = b and B' y = c_B by LU.  This wipes
@@ -426,7 +336,7 @@ let refined_solution std tab iterations =
         | Stdlib.Error _ -> None
         | Stdlib.Ok y ->
             let duals = Array.init m (fun i -> flip i *. y.(i)) in
-            Some { x; objective = !objective; duals; basis = Array.copy tab.basis; iterations }
+            Some { x; objective = !objective; duals; iterations }
       end
 
 (* Rebuild the whole tableau from the original data given the current basis
@@ -551,7 +461,8 @@ let solution_finite (s : solution) =
   && Array.for_all Float.is_finite s.x
   && Array.for_all Float.is_finite s.duals
 
-let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = false) std =
+let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = false)
+    ?(budget = Resilience.unlimited) std =
   check_dims std;
   (* Pivot on the perturbed problem; refine and report against the true
      one.  [refined_solution] and the result records must see [std]. *)
@@ -566,7 +477,7 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
         ~attrs:(fun () -> [ ("rows", string_of_int tab.m); ("cols", string_of_int tab.n) ])
         (fun () ->
           run_phase tab ~eps ~max_iter ~bland_after ~refactor_every ~refactor:refactor1
-            ~allow:allow_all 0)
+            ~allow:allow_all ~budget 0)
     in
     refactor1 ();
     let phase1_obj = -.tget tab tab.m (tab.width - 1) in
@@ -584,7 +495,7 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
             ~attrs:(fun () -> [ ("rows", string_of_int tab.m); ("cols", string_of_int tab.n) ])
             (fun () ->
               run_phase tab ~eps ~max_iter ~bland_after ~refactor_every ~refactor:refactor2
-                ~allow:structural iters1)
+                ~allow:structural ~budget iters1)
         in
         match outcome2 with
         | Phase_unbounded -> `Unbounded

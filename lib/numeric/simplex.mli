@@ -8,10 +8,8 @@
     Pivoting uses Dantzig's rule and falls back to Bland's rule (which is
     provably cycle-free) after [bland_after] iterations, so the solver
     terminates on degenerate problems such as CTMDP occupation-measure LPs.
-    Setting [BUFSIZE_SIMPLEX_PRICING=partial] switches the pre-Bland
-    iterations to rotating-window partial pricing (optimality is still
-    certified by a full scan); the Dantzig default is the measured winner
-    on this repo's LPs — see DESIGN.md §3.1.  Pivot elimination skips the
+    Dantzig's full scan is the measured winner over partial pricing on
+    this repo's LPs — see DESIGN.md §3.1.  Pivot elimination skips the
     pivot row's zero columns, the dominant saving on sparse tableaus.
 
     Dual values are read off the artificial columns of the final tableau and
@@ -30,7 +28,6 @@ type solution = {
   x : float array;  (** primal optimum, length [ncols] *)
   objective : float;
   duals : float array;  (** one multiplier per row (sign: y'b = objective) *)
-  basis : int array;  (** basic column per row *)
   iterations : int;
 }
 
@@ -39,11 +36,21 @@ type result =
   | Infeasible
   | Unbounded
 
+exception Budget_exhausted of int
+(** Raised by {!solve} and {!Simplex_revised.solve_sparse} when their
+    wall-clock [budget] runs out mid-solve; carries the pivot count
+    reached. *)
+
+val check_budget : Bufsize_resilience.Resilience.budget -> iters:int -> refactoring:bool -> unit
+(** The pivot-loop check both engines share: when [refactoring] or every
+    64th pivot, raise {!Budget_exhausted} if [budget] has run out. *)
+
 val solve :
   ?eps:float ->
   ?max_iter:int ->
   ?bland_after:int ->
   ?lex:bool ->
+  ?budget:Bufsize_resilience.Resilience.budget ->
   standard ->
   result
 (** [solve std] runs two-phase simplex.  [eps] (default [1e-9]) is the
@@ -54,8 +61,11 @@ val solve :
     perturbation with a lexicographic-style geometric one — strictly
     decreasing per-row magnitudes, so ties between degenerate rows are
     broken in a fixed row order; the escalation chain's last resort on
-    cycling-prone instances.
-    @raise Invalid_argument on inconsistent dimensions. *)
+    cycling-prone instances.  [budget] (default unlimited) is checked
+    every 64 pivots and before each refactorization; it never changes the
+    pivot path, only whether the solve is abandoned.
+    @raise Invalid_argument on inconsistent dimensions.
+    @raise Budget_exhausted when [budget] runs out. *)
 
 val solution_finite : solution -> bool
 (** No NaN/Inf anywhere in the claimed solution (objective, primal point,

@@ -39,7 +39,6 @@ type 'a entry = { key : string; value : 'a; mutable stamp : int }
 type 'a t = {
   cache_name : string;
   capacity : int;
-  always : bool;  (* ignore the global switch (caller gates it itself) *)
   mutex : Mutex.t;
   table : (int64, 'a entry) Hashtbl.t;
   mutable tick : int;
@@ -56,12 +55,11 @@ type any = Any : 'a t -> any
 let registry_mutex = Mutex.create ()
 let registry : any list ref = ref []
 
-let create ?(capacity = default_capacity) ?(always = false) cache_name =
+let create ?(capacity = default_capacity) cache_name =
   let c =
     {
       cache_name;
       capacity = max 1 capacity;
-      always;
       mutex = Mutex.create ();
       table = Hashtbl.create 64;
       tick = 0;
@@ -83,7 +81,7 @@ let locked c f =
   Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) f
 
 let find c key =
-  if not (c.always || enabled ()) then None
+  if not (enabled ()) then None
   else
     let h = fnv1a key in
     locked c @@ fun () ->
@@ -123,7 +121,7 @@ let evict_lru c =
       List.iter (fun e -> Hashtbl.add c.table h e) (List.rev keep)
 
 let add c key value =
-  if c.always || enabled () then begin
+  if enabled () then begin
     let h = fnv1a key in
     locked c @@ fun () ->
     c.tick <- c.tick + 1;

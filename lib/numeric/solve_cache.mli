@@ -1,4 +1,4 @@
-(** Exact-key solve caching for the warm-start / incremental layer.
+(** Exact-key solve caching.
 
     A [Solve_cache.t] is a small mutex-guarded LRU map from a {e canonical
     spec string} (a lossless print of everything the cached computation
@@ -23,16 +23,12 @@
 
 type 'a t
 
-val create : ?capacity:int -> ?always:bool -> string -> 'a t
+val create : ?capacity:int -> string -> 'a t
 (** [create name] registers a cache.  [capacity] (default 64, or the
     [BUFSIZE_SOLVE_CACHE] integer when set) bounds the number of retained
     entries; the least-recently-used entry is evicted beyond it.  [name]
     scopes the hit/miss telemetry counters ([cache.<name>.hits] /
-    [cache.<name>.misses] in the {!Bufsize_obs.Obs} metrics registry).
-    [always] (default false) exempts the instance from the global
-    {!set_enabled} switch — for stores with their own independent gate,
-    like the warm-basis registry behind [BUFSIZE_WARM_START] ({!clear_all}
-    still wipes it). *)
+    [cache.<name>.misses] in the {!Bufsize_obs.Obs} metrics registry). *)
 
 val name : 'a t -> string
 

@@ -201,11 +201,6 @@ let mul_vec_t t x =
 let scale a t = { t with values = Array.map (fun v -> a *. v) t.values }
 let map f t = { t with values = Array.map f t.values }
 
-let with_values t values =
-  if Array.length values <> nnz t then
-    invalid_arg "Sparse.with_values: value count mismatch";
-  { t with values }
-
 let index t i j =
   if i < 0 || i >= t.rows || j < 0 || j >= t.cols then
     invalid_arg "Sparse.index: index out of range";

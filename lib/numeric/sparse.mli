@@ -70,13 +70,6 @@ val scale : float -> t -> t
 val map : (float -> float) -> t -> t
 (** Entry-wise; structure preserved (zeros produced by [f] are kept). *)
 
-val with_values : t -> float array -> t
-(** [with_values a v] is [a] with its values replaced by [v] (same
-    [row_ptr]/[col_idx], shared not copied) — the incremental-update
-    primitive: rebuild only the numbers when the sparsity pattern is
-    known unchanged.
-    @raise Invalid_argument unless [Array.length v = nnz a]. *)
-
 val index : t -> int -> int -> int option
 (** [index a i j] is the position of entry [(i, j)] inside the flat
     [values] array, or [None] for a structural zero.  Binary search within

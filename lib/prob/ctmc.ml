@@ -55,72 +55,6 @@ let of_rates n rates =
   in
   { n; q; exit }
 
-(* Incremental re-rate: when a sweep changes only the numbers and not the
-   sparsity pattern, rebuild the CSR values in place of a full [of_rates].
-   The accumulation mirrors [of_rates] exactly — duplicates summed in list
-   order per position, exit rates re-summed in ascending-column order — so
-   a successful patch is bitwise-identical to the rebuild.  Any pattern
-   change (a rate at a position the chain does not have, a previously
-   present position accumulating to zero, an exit vanishing or appearing)
-   returns [None] and the caller rebuilds. *)
-let patch_rates t rates =
-  let n = t.n in
-  let ok =
-    List.for_all
-      (fun (i, j, r) -> i >= 0 && i < n && j >= 0 && j < n && i <> j && r >= 0.)
-      rates
-  in
-  if not ok then None
-  else begin
-    let nnz = Sparse.nnz t.q in
-    let vals = Array.make nnz 0. in
-    let touched = Array.make nnz false in
-    let mismatch = ref false in
-    List.iter
-      (fun (i, j, r) ->
-        if not !mismatch then
-          match Sparse.index t.q i j with
-          | None -> mismatch := true
-          | Some k ->
-              vals.(k) <- vals.(k) +. r;
-              touched.(k) <- true)
-      rates;
-    if !mismatch then None
-    else begin
-      (* Every off-diagonal position must survive with a nonzero value
-         (of_triplets would have dropped it otherwise, shifting the
-         pattern). *)
-      let exit = Array.make n 0. in
-      (try
-         for i = 0 to n - 1 do
-           let out = ref 0. in
-           for k = t.q.Sparse.row_ptr.(i) to t.q.Sparse.row_ptr.(i + 1) - 1 do
-             let j = t.q.Sparse.col_idx.(k) in
-             if j <> i then begin
-               if (not touched.(k)) || vals.(k) = 0. then raise Exit;
-               out := !out +. vals.(k)
-             end
-           done;
-           exit.(i) <- !out
-         done
-       with Exit -> mismatch := true);
-      if !mismatch then None
-      else begin
-        (try
-           for i = 0 to n - 1 do
-             match Sparse.index t.q i i with
-             | Some k ->
-                 if exit.(i) = 0. then raise Exit;
-                 vals.(k) <- -.exit.(i)
-             | None -> if exit.(i) <> 0. then raise Exit
-           done
-         with Exit -> mismatch := true);
-        if !mismatch then None
-        else Some { n; q = Sparse.with_values t.q vals; exit }
-      end
-    end
-  end
-
 let of_generator m =
   if m.Mat.rows <> m.Mat.cols then invalid_arg "Ctmc.of_generator: not square";
   let n = m.Mat.rows in

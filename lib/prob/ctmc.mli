@@ -22,18 +22,6 @@ val of_rates : int -> (int * int * float) list -> t
     @raise Invalid_argument on negative rates, self loops, or out-of-range
     states. *)
 
-val patch_rates : t -> (int * int * float) list -> t option
-(** [patch_rates t rates] rebuilds the chain from new rate triples while
-    reusing the existing sparsity pattern (fresh values array; shared
-    [row_ptr]/[col_idx]) — the incremental path for sweeps that change
-    only the numbers.  A successful patch is bitwise-identical to
-    [of_rates (dim t) rates]: duplicates accumulate in list order and the
-    exit rates re-sum in ascending-column order, exactly as the rebuild
-    would.  Returns [None] — and the caller must rebuild — whenever the
-    pattern shifts: a rate at a position [t] does not have, a previously
-    present position accumulating to zero, an exit rate appearing or
-    vanishing, or an invalid triple (out of range, self loop, negative). *)
-
 val of_generator : Bufsize_numeric.Mat.t -> t
 (** Validates an explicit generator matrix: square, nonnegative
     off-diagonal, rows summing to (numerically) zero. *)

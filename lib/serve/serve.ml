@@ -178,7 +178,6 @@ let sizing_core_json traffic (r : Sizing.result) =
     ]
 
 let solver_stats_json () =
-  let warm_acc, warm_rej = Bufsize_numeric.Simplex_revised.warm_stats () in
   let lp_hits, lp_misses = Bufsize_numeric.Lp.cache_stats () in
   let sz_hits, sz_misses = Sizing.cache_stats () in
   let pair h m =
@@ -188,12 +187,6 @@ let solver_stats_json () =
     [
       ("lp_cache", pair lp_hits lp_misses);
       ("sizing_cache", pair sz_hits sz_misses);
-      ( "warm_start",
-        Json.Obj
-          [
-            ("accepted", Json.Num (float_of_int warm_acc));
-            ("rejected", Json.Num (float_of_int warm_rej));
-          ] );
     ]
 
 (* -------------------------------------------------------- built-in ops *)
@@ -224,9 +217,11 @@ let size_handler ~deadline:_ req =
   | Ok (_, traffic) ->
       guard @@ fun () ->
       let budget = Option.value ~default:16 (Json.mem_int "budget" req) in
-      let max_states = Option.value ~default:64 (Json.mem_int "max_states" req) in
-      let config = { (Sizing.default_config ~budget) with Sizing.max_states } in
-      let r = Sizing.run config traffic in
+      let config = Sizing.default_config ~budget in
+      let max_states =
+        Option.value ~default:config.Sizing.max_states (Json.mem_int "max_states" req)
+      in
+      let r = Sizing.run { config with Sizing.max_states } traffic in
       let fields =
         [
           ("result", sizing_core_json traffic r);
@@ -245,15 +240,17 @@ let simulate_handler ~deadline:_ req =
       let budget = Option.value ~default:16 (Json.mem_int "budget" req) in
       let horizon = Option.value ~default:2000. (Json.mem_number "horizon" req) in
       let seed = Option.value ~default:1 (Json.mem_int "seed" req) in
-      let max_states = Option.value ~default:64 (Json.mem_int "max_states" req) in
+      let config = Sizing.default_config ~budget in
+      let max_states =
+        Option.value ~default:config.Sizing.max_states (Json.mem_int "max_states" req)
+      in
       let policy = Option.value ~default:"uniform" (Json.mem_string "policy" req) in
       let allocation =
         match policy with
         | "uniform" -> Buffer_alloc.uniform traffic ~budget
         | "proportional" -> Buffer_alloc.traffic_proportional traffic ~budget
         | "ctmdp" ->
-            let config = { (Sizing.default_config ~budget) with Sizing.max_states } in
-            (Sizing.run config traffic).Sizing.allocation
+            (Sizing.run { config with Sizing.max_states } traffic).Sizing.allocation
         | other -> invalid_arg (Printf.sprintf "unknown policy %S" other)
       in
       let spec =
@@ -729,15 +726,14 @@ let handle_line t conn line =
 
 (* ------------------------------------------------------------- workers *)
 
-(* Cache/warm-start counters sampled around a telemetry request; the
+(* Cache counters sampled around a telemetry request; the
    reply carries the deltas.  (Process-global counters, so concurrent
    requests can bleed into each other's deltas — telemetry is a
    diagnostic view, not an accounting one.) *)
 let cache_stats_now () =
   let lp_h, lp_m = Bufsize_numeric.Lp.cache_stats () in
   let sz_h, sz_m = Sizing.cache_stats () in
-  let wa, wr = Bufsize_numeric.Simplex_revised.warm_stats () in
-  (lp_h, lp_m, sz_h, sz_m, wa, wr)
+  (lp_h, lp_m, sz_h, sz_m)
 
 let span_json epoch (s : Obs.span_record) =
   Json.Obj
@@ -757,8 +753,8 @@ let reply_fields = function
   | Reply_error _ -> []
 
 let telemetry_json ~rid ~root ~spans ~spans_dropped ~queue_ms ~service_ms ~c0 ~c1 ~reply =
-  let lp_h0, lp_m0, sz_h0, sz_m0, wa0, wr0 = c0 in
-  let lp_h1, lp_m1, sz_h1, sz_m1, wa1, wr1 = c1 in
+  let lp_h0, lp_m0, sz_h0, sz_m0 = c0 in
+  let lp_h1, lp_m1, sz_h1, sz_m1 = c1 in
   let pair h m = Json.Obj [ ("hits", num_int h); ("misses", num_int m) ] in
   let epoch = match spans with s :: _ -> s.Obs.sstart_ns | [] -> 0L in
   Json.Obj
@@ -778,8 +774,6 @@ let telemetry_json ~rid ~root ~spans ~spans_dropped ~queue_ms ~service_ms ~c0 ~c
           [
             ("lp", pair (lp_h1 - lp_h0) (lp_m1 - lp_m0));
             ("sizing", pair (sz_h1 - sz_h0) (sz_m1 - sz_m0));
-            ( "warm_start",
-              Json.Obj [ ("accepted", num_int (wa1 - wa0)); ("rejected", num_int (wr1 - wr0)) ] );
           ] );
     ]
 

@@ -27,7 +27,7 @@ let default_config ~budget =
     budget;
     occupancy_fraction = 0.6;
     quantile = 0.95;
-    max_states = 96;
+    max_states = 64;
     solver = Joint;
     sharing = Static;
     client_weight = (fun _ -> 1.);
@@ -115,6 +115,8 @@ let bus_label model =
 
 let unconstrained_note = "occupancy budget bound not honored: solved unconstrained"
 
+exception Unsolved of Resilience.health
+
 (* State-space guard for shared-pool models: C(K+n, n) grows much faster
    than the static product, so allow a few times the static cap before
    giving up on the DAMQ comparison for a bus. *)
@@ -186,7 +188,7 @@ let solve_subsystems ?pool config models =
             true,
             words_per_level,
             [ ("joint-lp", diag) ] )
-      | _ -> (
+      | _, bounded -> (
           match attempt None with
           | Some (Lp_formulation.Joint_optimal j), diag ->
               ( j.Lp_formulation.components,
@@ -194,7 +196,7 @@ let solve_subsystems ?pool config models =
                 false,
                 words_per_level,
                 [ ("joint-lp", demote unconstrained_note "unconstrained-lp" diag) ] )
-          | _ -> failwith "Sizing.run: joint LP failed even without the budget bound"))
+          | _, diag -> raise (Unsolved [ ("joint-lp", bounded); ("unconstrained-lp", diag) ])))
   | Separate ->
       let shares =
         (* Divide the occupancy bound proportionally to represented levels. *)
@@ -215,11 +217,13 @@ let solve_subsystems ?pool config models =
         let bounds = [| { Lp_formulation.sense = Lp.Le; value = shares.(i) } |] in
         match Lp_formulation.solve_diag ~extra_bounds:bounds m with
         | Some (Lp_formulation.Optimal s), diag -> (s, true, diag)
-        | _ -> (
+        | _, bounded -> (
             match Lp_formulation.solve_diag m with
             | Some (Lp_formulation.Optimal s), diag ->
                 (s, false, demote unconstrained_note "unconstrained-lp" diag)
-            | _ -> failwith "Sizing.run: subsystem LP failed")
+            | _, diag ->
+                let bus = bus_label models.(i) in
+                raise (Unsolved [ (bus, bounded); (bus ^ "-unconstrained", diag) ]))
       in
       let solved = Pool.mapi_array ?pool solve_one ctmdps in
       let solutions = Array.map (fun (s, _, _) -> s) solved in

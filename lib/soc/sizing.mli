@@ -44,8 +44,10 @@ type config = {
 }
 
 val default_config : budget:int -> config
-(** kappa = 0.6, quantile = 0.95, max_states = 96, Joint, Static.  Larger state
-    caps buy model fidelity at steeply growing joint-LP cost; the
+(** kappa = 0.6, quantile = 0.95, max_states = 64, Joint, Static — the
+    configuration behind every published artifact, and the default of the
+    CLI's [--max-states] and of the daemon's [max_states] field.  Larger
+    state caps buy model fidelity at steeply growing joint-LP cost; the
     ABL-LEVELS ablation shows allocations saturating well below 100 states
     per subsystem. *)
 
@@ -79,6 +81,12 @@ type result = {
           [--health] flag prints. *)
 }
 
+exception Unsolved of Bufsize_resilience.Resilience.health
+(** Raised by {!run} when an LP fails both with the occupancy bound and
+    without it — e.g. when a wall-clock budget
+    ({!Bufsize_resilience.Resilience.of_env}) runs out mid-solve.  Carries
+    the diagnostics of both attempts. *)
+
 val run :
   ?measured_rates:(Topology.bus_id -> Traffic.client -> float option) ->
   ?pool:Bufsize_pool.Pool.t ->
@@ -98,8 +106,9 @@ val run :
     simulation of the previous allocation — the paper's "better profiling"
     suggestion; see [Bufsize.profiled_sizing]).  [None] keeps the routed
     rate; overrides must be positive to keep a loaded client loaded.
-    @raise Failure if some subsystem LP is unbounded (cannot happen for
-    well-formed models) or the unconstrained fallback also fails. *)
+    @raise Unsolved if some subsystem LP has no optimum (cannot happen for
+    well-formed models) even after the unconstrained fallback, or the
+    solve budget runs out. *)
 
 type sharing_entry = {
   cmp_bus : Topology.bus_id;

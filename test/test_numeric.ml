@@ -113,6 +113,21 @@ let test_lu_random_roundtrip () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:200 ~name:"lu roundtrip (diagonally dominated)" gen prop)
 
+(* The elimination updates the flat matrix storage in place: the O(n^3)
+   inner loop must not allocate, so minor-heap traffic stays O(n^2). *)
+let test_lu_factorize_allocation () =
+  let n = 200 in
+  let a =
+    Mat.init n n (fun i j -> if i = j then float_of_int n else 1. /. float_of_int (1 + i + (2 * j)))
+  in
+  let before = Gc.minor_words () in
+  ignore (Lu.factorize a);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words < 4 n^2" words)
+    true
+    (words < float_of_int (4 * n * n))
+
 (* -------------------------------------------------------------- Simplex *)
 
 let std ~nrows ~ncols a b c = { Simplex.nrows; ncols; a; b; c }
@@ -631,6 +646,7 @@ let () =
           Alcotest.test_case "determinant" `Quick test_lu_det;
           Alcotest.test_case "inverse" `Quick test_lu_inverse;
           Alcotest.test_case "random roundtrip (property)" `Quick test_lu_random_roundtrip;
+          Alcotest.test_case "factorize allocation bounded" `Quick test_lu_factorize_allocation;
         ] );
       ( "simplex",
         [

@@ -1,10 +1,9 @@
-(* Tests for the multicore layer: the domain pool, parallel replication
-   determinism, mergeable statistics, derived replication seeds, and the
-   simplex pricing modes. *)
+(* Tests for the multicore layer: the domain pool and its sizing rules,
+   parallel replication determinism, mergeable statistics, and derived
+   replication seeds. *)
 
 module Pool = Bufsize_pool.Pool
 module Stats = Bufsize_numeric.Stats
-module Simplex = Bufsize_numeric.Simplex
 module Rng = Bufsize_prob.Rng
 module Topology = Bufsize_soc.Topology
 module Traffic = Bufsize_soc.Traffic
@@ -83,6 +82,48 @@ let test_pool_nested_calls_fall_back () =
       in
       let expected = Array.init 16 (fun i -> (4 * i) + 6) in
       Alcotest.(check (array int)) "nested totals" expected got)
+
+(* ----------------------------------------------------------- pool sizing *)
+
+let test_default_size_env_override () =
+  let saved = Sys.getenv_opt "BUFSIZE_NUM_DOMAINS" in
+  (* putenv cannot unset a variable, so an originally unset override is
+     restored as the value [default_size] would have produced anyway. *)
+  let restore =
+    match saved with
+    | Some s -> s
+    | None -> string_of_int (Domain.recommended_domain_count ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "BUFSIZE_NUM_DOMAINS" restore)
+    (fun () ->
+      Unix.putenv "BUFSIZE_NUM_DOMAINS" "3";
+      Alcotest.(check int) "plain value" 3 (Pool.default_size ());
+      Unix.putenv "BUFSIZE_NUM_DOMAINS" " 2 ";
+      Alcotest.(check int) "surrounding blanks" 2 (Pool.default_size ());
+      List.iter
+        (fun bad ->
+          Unix.putenv "BUFSIZE_NUM_DOMAINS" bad;
+          match Pool.default_size () with
+          | exception Invalid_argument _ -> ()
+          | n -> Alcotest.failf "%S accepted as %d domains" bad n)
+        [ "0"; "-1"; "two"; "" ])
+
+let test_create_caps_at_core_count () =
+  let cores = Int.max 1 (Domain.recommended_domain_count ()) in
+  (* One domain past the core count is enough to see the cap; the capped
+     pool spawns no more workers than there are cores. *)
+  let pool = Pool.create (cores + 1) in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () -> Alcotest.(check int) "capped" cores (Pool.size pool));
+  with_pool 2 (fun pool -> Alcotest.(check int) "oversubscribed" 2 (Pool.size pool));
+  List.iter
+    (fun k ->
+      match Pool.create k with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "Pool.create %d accepted" k)
+    [ 0; -1 ]
 
 (* ------------------------------------------------- replication determinism *)
 
@@ -205,63 +246,6 @@ let test_merge_single_samples () =
   check_stats_identical "single + empty" a (Stats.merge a (Stats.create ()));
   check_stats_identical "empty + single" a (Stats.merge (Stats.create ()) a)
 
-(* -------------------------------------------------------- simplex pricing *)
-
-(* Random standard-form LPs with a known feasible point (b = A x0 for a
-   nonnegative x0).  Partial pricing must reach the same optimum as the
-   default Dantzig pricing — only the pivot path may differ. *)
-let random_standard rng ~m ~n =
-  let a = Array.init (m * n) (fun _ -> Rng.float_range rng (-1.) 1.) in
-  let x0 = Array.init n (fun _ -> Rng.float_range rng 0. 2.) in
-  let b =
-    Array.init m (fun i ->
-        let acc = ref 0. in
-        for j = 0 to n - 1 do
-          acc := !acc +. (a.((i * n) + j) *. x0.(j))
-        done;
-        !acc)
-  in
-  (* Bounded feasible region: costs bounded below by adding the simplex of
-     total mass; keep costs positive so minimization is bounded. *)
-  let c = Array.init n (fun _ -> Rng.float_range rng 0.1 2.) in
-  { Simplex.nrows = m; ncols = n; a; b; c }
-
-let test_partial_pricing_agrees_with_dantzig () =
-  let rng = Rng.create 20260807 in
-  let solve_with mode std =
-    Unix.putenv "BUFSIZE_SIMPLEX_PRICING" mode;
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "BUFSIZE_SIMPLEX_PRICING" "dantzig")
-      (fun () -> Simplex.solve std)
-  in
-  for case = 1 to 20 do
-    let std = random_standard rng ~m:6 ~n:14 in
-    let d = solve_with "dantzig" std and p = solve_with "partial" std in
-    match (d, p) with
-    | Simplex.Optimal sd, Simplex.Optimal sp ->
-        let scale = Float.max 1. (Float.abs sd.Simplex.objective) in
-        Alcotest.(check bool)
-          (Printf.sprintf "case %d objectives agree" case)
-          true
-          (Float.abs (sd.Simplex.objective -. sp.Simplex.objective) <= 1e-6 *. scale);
-        Alcotest.(check bool)
-          (Printf.sprintf "case %d partial solution feasible" case)
-          true
-          (Simplex.feasibility_error std sp.Simplex.x <= 1e-6)
-    | Simplex.Infeasible, Simplex.Infeasible | Simplex.Unbounded, Simplex.Unbounded -> ()
-    | _ -> Alcotest.failf "case %d: pricing modes disagree on LP status" case
-  done
-
-let test_pricing_env_rejects_garbage () =
-  Unix.putenv "BUFSIZE_SIMPLEX_PRICING" "fancy";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "BUFSIZE_SIMPLEX_PRICING" "dantzig")
-    (fun () ->
-      let std = random_standard (Rng.create 7) ~m:3 ~n:6 in
-      match Simplex.solve std with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "expected Invalid_argument for unknown pricing mode")
-
 let () =
   Alcotest.run "parallel"
     [
@@ -272,6 +256,11 @@ let () =
           Alcotest.test_case "empty and singleton" `Quick test_pool_empty_and_singleton;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagates;
           Alcotest.test_case "nested calls fall back" `Quick test_pool_nested_calls_fall_back;
+        ] );
+      ( "pool-configured",
+        [
+          Alcotest.test_case "domain count override" `Quick test_default_size_env_override;
+          Alcotest.test_case "create caps at core count" `Quick test_create_caps_at_core_count;
         ] );
       ( "replicate",
         [
@@ -284,11 +273,5 @@ let () =
           Alcotest.test_case "merge = single pass (qcheck)" `Quick test_merge_matches_single_pass;
           Alcotest.test_case "empty identities" `Quick test_merge_empty_identity;
           Alcotest.test_case "single-sample shards" `Quick test_merge_single_samples;
-        ] );
-      ( "simplex-pricing",
-        [
-          Alcotest.test_case "partial agrees with dantzig" `Quick
-            test_partial_pricing_agrees_with_dantzig;
-          Alcotest.test_case "unknown mode rejected" `Quick test_pricing_env_rejects_garbage;
         ] );
     ]

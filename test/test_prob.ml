@@ -5,7 +5,6 @@ module Vec = Bufsize_numeric.Vec
 module Rng = Bufsize_prob.Rng
 module Dist = Bufsize_prob.Dist
 module Ctmc = Bufsize_prob.Ctmc
-module Dtmc = Bufsize_prob.Dtmc
 module Birth_death = Bufsize_prob.Birth_death
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -208,32 +207,6 @@ let test_ctmc_stationary_property () =
   in
   QCheck.Test.check_exn (QCheck.Test.make ~count:200 ~name:"pi Q = 0" gen prop)
 
-(* ----------------------------------------------------------------- Dtmc *)
-
-let test_dtmc_stationary_matches_power () =
-  let p =
-    Bufsize_numeric.Mat.of_rows
-      [| [| 0.5; 0.5; 0. |]; [| 0.25; 0.5; 0.25 |]; [| 0.; 0.5; 0.5 |] |]
-  in
-  let d = Dtmc.of_matrix p in
-  let direct = Dtmc.stationary d in
-  let power = Dtmc.power_stationary d in
-  Alcotest.(check bool) "agree" true (Vec.approx_equal ~tol:1e-8 direct power)
-
-let test_dtmc_embedded () =
-  let c = two_state_ctmc 2. 6. in
-  let d = Dtmc.embedded_of_ctmc c in
-  (* Jump chain of a 2-state CTMC alternates deterministically. *)
-  let m = Dtmc.matrix d in
-  check_float "p01" 1. (Bufsize_numeric.Mat.get m 0 1);
-  check_float "p10" 1. (Bufsize_numeric.Mat.get m 1 0)
-
-let test_dtmc_validation () =
-  let bad = Bufsize_numeric.Mat.of_rows [| [| 0.5; 0.6 |]; [| 0.5; 0.5 |] |] in
-  (match Dtmc.of_matrix bad with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected rejection")
-
 (* ----------------------------------------------------- Birth-death / MM1K *)
 
 let test_bd_stationary_matches_ctmc () =
@@ -314,13 +287,6 @@ let () =
           Alcotest.test_case "transient short horizon" `Quick test_ctmc_transient_short_horizon;
           Alcotest.test_case "uniformization stochastic" `Quick test_ctmc_uniformize_stochastic;
           Alcotest.test_case "pi Q = 0 (property)" `Quick test_ctmc_stationary_property;
-        ] );
-      ( "dtmc",
-        [
-          Alcotest.test_case "stationary matches power iteration" `Quick
-            test_dtmc_stationary_matches_power;
-          Alcotest.test_case "embedded chain" `Quick test_dtmc_embedded;
-          Alcotest.test_case "validation" `Quick test_dtmc_validation;
         ] );
       ( "birth-death",
         [

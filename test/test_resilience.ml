@@ -298,6 +298,26 @@ let test_sizing_health_all_ok_on_clean_arch () =
   Alcotest.(check bool) "health entries present" true (r.Sizing.health <> []);
   Alcotest.(check bool) "clean run is all ok" true (Resilience.health_ok r.Sizing.health)
 
+(* A 568-row joint LP (nine clients on one bus) whose revised-simplex
+   solve runs for minutes: a wall-clock budget must stop it inside the
+   pivot loop, not only between escalation steps. *)
+let test_sizing_budget_stops_stalled_lp () =
+  let traffic =
+    match Bufsize_soc.Spec_parser.parse_file "../examples/stall.spec" with
+    | Ok (_, traffic) -> traffic
+    | Error e -> Alcotest.failf "stall spec: %s" e
+  in
+  let t0 = Unix.gettimeofday () in
+  let health =
+    Resilience.with_ambient_budget (Resilience.of_ms 200.) (fun () ->
+        match Sizing.run (Sizing.default_config ~budget:80) traffic with
+        | r -> r.Sizing.health
+        | exception Sizing.Unsolved h -> h)
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "non-Ok health" false (Resilience.health_ok health);
+  Alcotest.(check bool) (Printf.sprintf "stopped in %.2f s < 5 s" elapsed) true (elapsed < 5.)
+
 (* --------------------------------- qcheck properties (satellite 4) *)
 
 let test_prop_lp_diag_matches_clean () =
@@ -402,7 +422,11 @@ let () =
             test_stiff_closure_newton_rejected_not_surfaced;
         ] );
       ( "sizing-health",
-        [ Alcotest.test_case "clean arch all ok" `Quick test_sizing_health_all_ok_on_clean_arch ] );
+        [
+          Alcotest.test_case "clean arch all ok" `Quick test_sizing_health_all_ok_on_clean_arch;
+          Alcotest.test_case "budget stops a stalled LP" `Quick
+            test_sizing_budget_stops_stalled_lp;
+        ] );
       ( "properties",
         [
           Alcotest.test_case "diag matches clean (property)" `Quick

@@ -160,6 +160,32 @@ let test_size_bitwise () =
       Alcotest.(check string) "id echoed" "1" (Json.encode (Json.member_exn "id" reply));
       Alcotest.(check string) "bitwise vs direct Sizing.run" (expected_result ()) (result_str reply))
 
+(* A size request that omits max_states answers exactly like the library
+   default configuration — the daemon has no default of its own. *)
+let test_size_default_max_states () =
+  let traffic =
+    match Spec_parser.parse spec_text with
+    | Ok (_, traffic) -> traffic
+    | Error e -> Alcotest.failf "spec did not parse: %s" e
+  in
+  let expected =
+    Json.encode
+      (Serve.sizing_core_json traffic (Sizing.run (Sizing.default_config ~budget) traffic))
+  in
+  with_server (fun t ->
+      let request =
+        Json.Obj
+          [
+            ("id", Json.Num 1.);
+            ("op", Json.Str "size");
+            ("spec", Json.Str spec_text);
+            ("budget", Json.Num (float_of_int budget));
+          ]
+      in
+      let reply = ok_reply "size" (Serve.request ~socket:(Serve.socket_path t) request) in
+      Alcotest.(check string) "status ok" "ok" (status reply);
+      Alcotest.(check string) "bitwise vs Sizing.default_config" expected (result_str reply))
+
 let test_typed_errors () =
   with_server (fun t ->
       let socket = Serve.socket_path t in
@@ -518,6 +544,7 @@ let () =
         [
           Alcotest.test_case "size bitwise vs library" `Quick test_size_bitwise;
           Alcotest.test_case "concurrent clients bitwise" `Quick test_concurrent_bitwise;
+          Alcotest.test_case "size default max_states" `Quick test_size_default_max_states;
         ] );
       ( "robustness",
         [

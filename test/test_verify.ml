@@ -303,6 +303,24 @@ let test_replay_from_file () =
   | Ok (label, Oracle.Fail m) -> Alcotest.failf "replayed %s fails: %s" label m
   | Error e -> Alcotest.failf "replay: %s" e
 
+(* The warm-cold oracle's LP sub-case is gone; a repro written for it
+   must replay as unparseable (the CLI maps this to exit 2). *)
+let test_replay_rejects_retired_warm_lp () =
+  let lp = Gen_model.lp_case (Rng.create 3) in
+  let text = "# oracle: warm-cold\n# warm-cold kind: lp\n" ^ Gen_model.lp_case_to_string lp in
+  (match Oracles.case_of_repro text with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "warm-cold lp repro still parses");
+  let path = Filename.temp_file "bufsize_replay" ".repro" in
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc;
+  let result = Driver.replay path in
+  Sys.remove path;
+  match result with
+  | Error _ -> ()
+  | Ok (label, _) -> Alcotest.failf "warm-cold lp repro replayed as %s" label
+
 let test_driver_architecture_repro_roundtrips () =
   (* Repro files written for architecture-based oracles must stay
      loadable by Spec_parser (comment header + spec body). *)
@@ -375,5 +393,7 @@ let () =
           Alcotest.test_case "every oracle replays" `Quick test_replay_all_oracles;
           Alcotest.test_case "malformed repros rejected" `Quick test_replay_rejects_malformed;
           Alcotest.test_case "file replay" `Quick test_replay_from_file;
+          Alcotest.test_case "retired warm-cold lp repro rejected" `Quick
+            test_replay_rejects_retired_warm_lp;
         ] );
     ]

@@ -1,26 +1,23 @@
-(* Tests for the warm-start & incremental-solve machinery: LU storage
-   reuse, warm simplex bases (acceptance, garbage and singular fallback),
-   the exact-key solve cache, CTMC rate patching and seeded iterations,
-   and chunked pool determinism. *)
+(* Tests for the incremental-solve machinery: LU storage reuse, the
+   exact-key solve cache, seeded CTMC iterations, and chunked pool
+   determinism. *)
 
 module Lp = Bufsize_numeric.Lp
 module Lu = Bufsize_numeric.Lu
 module Mat = Bufsize_numeric.Mat
 module Solve_cache = Bufsize_numeric.Solve_cache
-module Simplex_revised = Bufsize_numeric.Simplex_revised
 module Ctmc = Bufsize_prob.Ctmc
 module Pool = Bufsize_pool.Pool
 
 let check_float = Alcotest.(check (float 1e-9))
 
-(* Restore the process-wide cache / warm-start switches around a test so
-   test order never matters. *)
+(* Restore the process-wide cache switch around a test so test order
+   never matters. *)
 let with_clean_globals f =
-  let cached = Solve_cache.enabled () and warm = Lp.warm_start_enabled () in
+  let cached = Solve_cache.enabled () in
   Fun.protect
     ~finally:(fun () ->
       Solve_cache.set_enabled cached;
-      Lp.set_warm_start warm;
       Solve_cache.clear_all ())
     f
 
@@ -65,7 +62,7 @@ let test_refactorize_dim_mismatch () =
     (Invalid_argument "Lu.refactorize: dimension mismatch") (fun () ->
       ignore (Lu.refactorize f (Mat.identity 2)))
 
-(* ------------------------------------------------------------ warm bases *)
+(* ------------------------------------------------------------ solve cache *)
 
 (* max 3x + 2y st x + y <= 4, x <= 3, y <= 3: optimum 11 at (3, 1). *)
 let small_lp () =
@@ -77,78 +74,6 @@ let small_lp () =
   Lp.add_constraint lp [ (1., y) ] Lp.Le 3.;
   Lp.set_objective lp [ (3., x); (2., y) ];
   lp
-
-let solve_opt ?warm_basis lp =
-  match Lp.solve ~engine:Lp.Revised ?warm_basis lp with
-  | Lp.Optimal s -> s
-  | Lp.Infeasible -> Alcotest.fail "unexpected infeasible"
-  | Lp.Unbounded -> Alcotest.fail "unexpected unbounded"
-
-let test_warm_basis_resolve () =
-  let cold = solve_opt (small_lp ()) in
-  check_float "cold objective" 11. cold.Lp.objective;
-  let acc0, _ = Simplex_revised.warm_stats () in
-  let warm = solve_opt ~warm_basis:cold.Lp.basis (small_lp ()) in
-  let acc1, _ = Simplex_revised.warm_stats () in
-  check_float "warm objective" 11. warm.Lp.objective;
-  Alcotest.(check bool) "warm basis accepted" true (acc1 > acc0)
-
-let test_garbage_basis_falls_back () =
-  let cold = solve_opt (small_lp ()) in
-  let _, rej0 = Simplex_revised.warm_stats () in
-  (* Duplicate indices: structurally invalid, must be rejected cheaply. *)
-  let warm = solve_opt ~warm_basis:[| 0; 0; 0 |] (small_lp ()) in
-  let _, rej1 = Simplex_revised.warm_stats () in
-  check_float "fallback objective" cold.Lp.objective warm.Lp.objective;
-  Alcotest.(check bool) "garbage basis rejected" true (rej1 > rej0)
-
-let test_singular_basis_falls_back () =
-  (* x and y have identical constraint columns, so the warm basis {x, y}
-     is numerically singular: refactorization must fail gracefully and the
-     cold solve must still deliver a clean optimum — never NaN. *)
-  let lp () =
-    let lp = Lp.create ~name:"singular-warm" Lp.Minimize in
-    let x = Lp.add_var ~name:"x" lp in
-    let y = Lp.add_var ~name:"y" lp in
-    Lp.add_constraint lp [ (1., x); (1., y) ] Lp.Eq 1.;
-    Lp.add_constraint lp [ (1., x); (1., y) ] Lp.Le 2.;
-    Lp.set_objective lp [ (1., x); (2., y) ];
-    lp
-  in
-  let _, rej0 = Simplex_revised.warm_stats () in
-  let o, diag = Lp.solve_diag ~warm_basis:[| 0; 1 |] (lp ()) in
-  let _, rej1 = Simplex_revised.warm_stats () in
-  (match o with
-  | Some (Lp.Optimal s) ->
-      Alcotest.(check bool) "objective finite" true (Float.is_finite s.Lp.objective);
-      check_float "optimum" 1. s.Lp.objective
-  | _ -> Alcotest.fail "singular warm basis broke the solve");
-  (match diag.Bufsize_resilience.Resilience.status with
-  | Bufsize_resilience.Resilience.Failed r -> Alcotest.failf "diagnostic Failed: %s" r
-  | _ -> ());
-  Alcotest.(check bool) "singular basis rejected" true (rej1 > rej0)
-
-let test_warm_registry_hand_off () =
-  with_clean_globals (fun () ->
-      Solve_cache.set_enabled false;
-      (* cache off so the second solve really re-runs *)
-      Lp.set_warm_start true;
-      let first =
-        match Lp.solve_diag (small_lp ()) with
-        | Some (Lp.Optimal s), _ -> s
-        | _ -> Alcotest.fail "first solve failed"
-      in
-      let acc0, _ = Simplex_revised.warm_stats () in
-      let second =
-        match Lp.solve_diag (small_lp ()) with
-        | Some (Lp.Optimal s), _ -> s
-        | _ -> Alcotest.fail "second solve failed"
-      in
-      let acc1, _ = Simplex_revised.warm_stats () in
-      check_float "same objective" first.Lp.objective second.Lp.objective;
-      Alcotest.(check bool) "registry basis accepted" true (acc1 > acc0))
-
-(* ------------------------------------------------------------ solve cache *)
 
 let test_cache_hit_miss_lru () =
   with_clean_globals (fun () ->
@@ -187,7 +112,6 @@ let test_lp_result_cache () =
   with_clean_globals (fun () ->
       Solve_cache.set_enabled true;
       Solve_cache.clear_all ();
-      Lp.set_warm_start false;
       let h0, m0 = Lp.cache_stats () in
       let first =
         match Lp.solve_diag (small_lp ()) with
@@ -255,41 +179,6 @@ let test_cache_concurrent_stress () =
 
 let ring_rates = [ (0, 1, 2.); (1, 2, 1.5); (2, 0, 0.75); (0, 2, 0.25) ]
 
-let test_patch_rates_bitwise () =
-  let t0 = Ctmc.of_rates 3 ring_rates in
-  let scaled = List.map (fun (i, j, r) -> (i, j, r *. 1.5)) ring_rates in
-  match Ctmc.patch_rates t0 scaled with
-  | None -> Alcotest.fail "patch_rates rejected a same-pattern change"
-  | Some patched ->
-      let rebuilt = Ctmc.of_rates 3 scaled in
-      for i = 0 to 2 do
-        Alcotest.(check bool)
-          (Printf.sprintf "exit %d bitwise" i)
-          true
-          (Int64.bits_of_float (Ctmc.exit_rate patched i)
-          = Int64.bits_of_float (Ctmc.exit_rate rebuilt i));
-        for j = 0 to 2 do
-          if i <> j then
-            Alcotest.(check bool)
-              (Printf.sprintf "rate %d->%d bitwise" i j)
-              true
-              (Int64.bits_of_float (Ctmc.rate patched i j)
-              = Int64.bits_of_float (Ctmc.rate rebuilt i j))
-        done
-      done
-
-let test_patch_rates_pattern_shift () =
-  let t0 = Ctmc.of_rates 3 ring_rates in
-  (* A transition at a position the pattern does not have. *)
-  Alcotest.(check bool) "new position rejected" true
-    (Ctmc.patch_rates t0 ((1, 0, 1.) :: ring_rates) = None);
-  (* A previously present position vanishing. *)
-  Alcotest.(check bool) "dropped position rejected" true
-    (Ctmc.patch_rates t0 (List.tl ring_rates) = None);
-  (* Invalid triples. *)
-  Alcotest.(check bool) "self loop rejected" true
-    (Ctmc.patch_rates t0 [ (0, 0, 1.) ] = None)
-
 let test_seeded_stationary () =
   let t0 = Ctmc.of_rates 3 ring_rates in
   let nearby = Ctmc.of_rates 3 (List.map (fun (i, j, r) -> (i, j, r *. 1.1)) ring_rates) in
@@ -328,13 +217,6 @@ let () =
             test_refactorize_singular_then_recover;
           Alcotest.test_case "dimension mismatch" `Quick test_refactorize_dim_mismatch;
         ] );
-      ( "warm-basis",
-        [
-          Alcotest.test_case "re-solve from optimal basis" `Quick test_warm_basis_resolve;
-          Alcotest.test_case "garbage basis falls back" `Quick test_garbage_basis_falls_back;
-          Alcotest.test_case "singular basis falls back" `Quick test_singular_basis_falls_back;
-          Alcotest.test_case "registry hand-off" `Quick test_warm_registry_hand_off;
-        ] );
       ( "solve-cache",
         [
           Alcotest.test_case "hit, miss, lru" `Quick test_cache_hit_miss_lru;
@@ -345,8 +227,6 @@ let () =
         ] );
       ( "ctmc-incremental",
         [
-          Alcotest.test_case "patch bitwise" `Quick test_patch_rates_bitwise;
-          Alcotest.test_case "pattern shifts rejected" `Quick test_patch_rates_pattern_shift;
           Alcotest.test_case "seeded stationary" `Quick test_seeded_stationary;
         ] );
       ( "pool-chunking",
